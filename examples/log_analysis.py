@@ -14,6 +14,7 @@ Run with::
 from repro.analysis.coverage import edge_coverage
 from repro.baselines.ktails import ktails_automaton
 from repro.baselines.sequential import maximal_sequential_patterns
+from repro.core.state import fold_executions
 from repro.datasets.flowmark import flowmark_dataset
 from repro.logs.filters import format_variants
 from repro.logs.timing import busiest_activities, format_timing_report
@@ -40,7 +41,7 @@ def main() -> None:
     print()
 
     print("=== model edge coverage")
-    print(edge_coverage(model.graph, log).report())
+    print(edge_coverage(model.graph, fold_executions(log)).report())
     print()
 
     print("=== what sequential-pattern mining would report instead")

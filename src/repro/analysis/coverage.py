@@ -7,18 +7,35 @@ were merely compatible, and which never mattered.  This module computes
 that per-edge usage from the step-5 marking machinery (an edge is *used*
 by an execution when it appears in the execution's induced-subgraph
 transitive reduction).
+
+The counts come from a folded :class:`~repro.core.state.MiningState`,
+the accumulator every mining entry point shares, so each distinct
+trace variant is analysed once and weighted by its multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
+from repro.errors import CycleError, EmptyLogError
 from repro.graphs.digraph import DiGraph
-from repro.graphs.transitive import transitive_reduction_edges
-from repro.logs.event_log import EventLog
+from repro.graphs.transitive import transitive_reduction_packed
+from repro.graphs.traversal import topological_sort
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.state import MiningState
 
 Edge = Tuple[str, str]
+Variant = Tuple[FrozenSet[int], FrozenSet[int], int]
 
 
 @dataclass(frozen=True)
@@ -99,40 +116,129 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-def edge_coverage(graph: DiGraph, log: EventLog) -> CoverageReport:
-    """Compute how ``log`` exercises the edges of ``graph``.
+def edge_coverage(graph: DiGraph, state: "MiningState") -> CoverageReport:
+    """Compute how the log folded into ``state`` exercises ``graph``.
 
-    ``graph`` may be a purported model's graph or a mined graph; edges
-    between activities the log never performs report zero everywhere.
+    ``state`` is a plain (not instance-labelled) mining state, e.g.
+    ``fold_executions(log)``.  ``graph`` may be a purported model's
+    graph or a mined graph; edges between activities the log never
+    performs report zero everywhere.  Every count is summed over the
+    distinct variants, weighted by multiplicity:
+
+    * ``compatible`` is the state's follows-pair counter;
+    * ``co_present`` counts the executions whose vertex set holds both
+      endpoints;
+    * ``required`` marks the edges Algorithm 4
+      (:func:`~repro.graphs.transitive.transitive_reduction_packed`)
+      keeps in each variant's ordered pairs that are model edges, as
+      step 5 of the miner does.
+
+    Raises :class:`~repro.errors.EmptyLogError` when nothing was folded
+    in, ``ValueError`` for a labelled state, and
+    :class:`~repro.errors.CycleError` when some execution orders all
+    the edges of a directed cycle of ``graph``.
     """
-    log.require_non_empty()
-    edge_set = graph.edge_set()
-    required: Dict[Edge, int] = {edge: 0 for edge in edge_set}
-    compatible: Dict[Edge, int] = {edge: 0 for edge in edge_set}
-    co_present: Dict[Edge, int] = {edge: 0 for edge in edge_set}
-
-    for execution in log:
-        activities = execution.activities
-        pairs = set(execution.ordered_pairs())
-        induced_edges = pairs & edge_set
-        needed = transitive_reduction_edges(
-            DiGraph(nodes=activities, edges=induced_edges)
+    if state.execution_count == 0:
+        raise EmptyLogError("the log contains no executions")
+    if state.labelled:
+        raise ValueError(
+            "edge coverage needs a plain mining state, not a labelled one"
         )
-        for edge in edge_set:
-            source, target = edge
-            if source in activities and target in activities:
-                co_present[edge] += 1
-            if edge in pairs:
-                compatible[edge] += 1
-            if edge in needed:
-                required[edge] += 1
+    index, n, variants = state.variant_codes()
+    edges = graph.edge_set()
+    # Model edges between activities the log performed, packed like
+    # the state's ordered pairs.
+    packed: Dict[Edge, int] = {}
+    for source, target in edges:
+        u = index.get(source)
+        v = index.get(target)
+        if u is not None and v is not None:
+            packed[(source, target)] = u * n + v
+    model_codes = frozenset(packed.values())
+    rank = _topological_rank(graph, index)
 
-    usage = {
-        edge: EdgeUsage(
-            required=required[edge],
-            compatible=compatible[edge],
+    required: Dict[int, int] = {}
+    for _, pairs, count in variants:
+        for code in transitive_reduction_packed(
+            pairs & model_codes, n, rank
+        ):
+            required[code] = required.get(code, 0) + count
+    co_present = _co_present(packed, n, variants)
+    compatible = state.pair_frequencies()
+
+    usage = dict.fromkeys(
+        edges, EdgeUsage(required=0, compatible=0, co_present=0)
+    )
+    for edge, code in packed.items():
+        usage[edge] = EdgeUsage(
+            required=required.get(code, 0),
+            compatible=compatible.get(edge, 0),
             co_present=co_present[edge],
         )
-        for edge in edge_set
+    return CoverageReport(usage=usage, executions=state.execution_count)
+
+
+def _topological_rank(
+    graph: DiGraph, index: Mapping[object, int]
+) -> Optional[Dict[int, int]]:
+    """Topological ranks of the log's vertex ids in ``graph``.
+
+    ``None`` for a cyclic graph: the reduction then runs its own Kahn
+    pass per variant, which raises :class:`CycleError` only for a
+    variant whose induced edges really form a cycle.
+    """
+    try:
+        order = topological_sort(graph)
+    except CycleError:
+        return None
+    return {
+        index[node]: position
+        for position, node in enumerate(order)
+        if node in index
     }
-    return CoverageReport(usage=usage, executions=len(log))
+
+
+def _co_present(
+    packed: Dict[Edge, int], n: int, variants: List[Variant]
+) -> Dict[Edge, int]:
+    """Per packed edge, the executions holding both of its endpoints.
+
+    Each vertex gets a bitmask over the variants that contain it, and
+    the multiplicities are split into bit planes (plane ``b`` marks the
+    variants whose multiplicity has bit ``b`` set).  An edge's count is
+    then a weighted popcount of its endpoints' intersected masks, so the
+    cost is one pass over the variants plus a few big-integer ANDs per
+    edge, not a pass over the variants per edge.
+    """
+    width = (len(variants) + 7) // 8
+    rows: Dict[int, bytearray] = {}
+    planes = [
+        bytearray(width)
+        for _ in range(max(count for _, _, count in variants).bit_length())
+    ]
+    for position, (vertices, _, count) in enumerate(variants):
+        byte = position >> 3
+        bit = 1 << (position & 7)
+        for vertex in vertices:
+            row = rows.get(vertex)
+            if row is None:
+                row = rows[vertex] = bytearray(width)
+            row[byte] |= bit
+        plane = 0
+        while count:
+            if count & 1:
+                planes[plane][byte] |= bit
+            count >>= 1
+            plane += 1
+    masks = {
+        vertex: int.from_bytes(row, "little") for vertex, row in rows.items()
+    }
+    weights = [int.from_bytes(plane, "little") for plane in planes]
+    co_present: Dict[Edge, int] = {}
+    for edge, code in packed.items():
+        both = masks.get(code // n, 0) & masks.get(code % n, 0)
+        co_present[edge] = sum(
+            (both & weight).bit_count() << plane
+            for plane, weight in enumerate(weights)
+        )
+    return co_present

@@ -1044,8 +1044,6 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
             f"({state.variant_count} variants) to {args.state_out}",
             file=sys.stderr,
         )
-    if args.profile:
-        _print_profile(trace)
     print(f"# algorithm: {algorithm}")
     _print_graph(graph, args, name=report.process_name or "mined")
     result = MiningResult(
@@ -1062,6 +1060,8 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
         recorder,
         process_name=report.process_name,
     )
+    if args.profile:
+        _print_profile(trace)
     _write_metrics(
         args,
         recorder,
@@ -1244,8 +1244,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         kernel=args.kernel,
     )
     result = miner.mine(log)
-    if args.profile:
-        _print_profile(result.trace)
     graph = result.graph
     print(f"# algorithm: {result.algorithm}")
     if getattr(args, "exact_minimize", False):
@@ -1262,6 +1260,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     verified = args.no_verify or _verify_mined(
         result, log, args.threshold, recorder
     )
+    if args.profile:
+        _print_profile(result.trace)
     _write_metrics(
         args,
         recorder,
@@ -1287,7 +1287,9 @@ def _print_profile(trace) -> None:
     """Emit ``--profile`` throughput diagnostics to stderr.
 
     Algorithm 1 has no staged trace, so an empty trace prints only the
-    header line.
+    header line.  Printed after verification, so the last row is the
+    ``verify`` span: the lint rules, and within them the edge-coverage
+    report the log-aware rules share.
     """
     print("profile:", file=sys.stderr)
     if trace.execution_count:
@@ -1315,8 +1317,9 @@ def _print_profile(trace) -> None:
         )
     # Sub-spans (e.g. prepare's parse/intern/pairs split) live on the
     # recorder, keyed under the parent stage's mine/<stage>/ prefix.
+    spans = getattr(trace.recorder, "spans", ())
     sub_spans: Dict[str, List[Tuple[str, float]]] = {}
-    for span in getattr(trace.recorder, "spans", ()):
+    for span in spans:
         parts = span.name.split("/")
         if len(parts) == 3 and parts[0] == "mine":
             sub_spans.setdefault(parts[1], []).append(
@@ -1329,6 +1332,16 @@ def _print_profile(trace) -> None:
                 f"    {stage}/{name}: {wall * 1000:.1f} ms",
                 file=sys.stderr,
             )
+    walls: Dict[str, float] = {}
+    for span in spans:
+        walls[span.name] = walls.get(span.name, 0.0) + span.wall_seconds
+    if "mine/verify" in walls:
+        print(
+            f"  verify: {walls['mine/verify'] * 1000:.1f} ms "
+            f"(lint {walls.get('lint', 0.0) * 1000:.1f} ms, "
+            f"coverage {walls.get('lint/coverage', 0.0) * 1000:.1f} ms)",
+            file=sys.stderr,
+        )
 
 
 def _verify_mined(
@@ -1356,24 +1369,25 @@ def _verify_mined(
     """
     if log is not None:
         process_name = log.process_name
-    try:
-        model = result.to_process_model(name=process_name or "mined")
-    except ReproError as exc:
-        print(f"verification: skipped ({exc})", file=sys.stderr)
-        return True
-    # PM108's minimal-conformal exemption (an implied edge is fine when
-    # some execution requires it directly) needs per-execution coverage,
-    # so without the log it would flag every such edge a correct miner
-    # legitimately keeps.
-    ignore = ["PM108"] if log is None else None
-    report = lint_model(
-        model,
-        log=log,
-        config=LintConfig(
-            noise_threshold=max(threshold, 0), ignore=ignore
-        ),
-        recorder=recorder,
-    )
+    with recorder.span("mine/verify"):
+        try:
+            model = result.to_process_model(name=process_name or "mined")
+        except ReproError as exc:
+            print(f"verification: skipped ({exc})", file=sys.stderr)
+            return True
+        # PM108's minimal-conformal exemption (an implied edge is fine
+        # when some execution requires it directly) needs per-execution
+        # coverage, so without the log it would flag every such edge a
+        # correct miner legitimately keeps.
+        ignore = ["PM108"] if log is None else None
+        report = lint_model(
+            model,
+            log=log,
+            config=LintConfig(
+                noise_threshold=max(threshold, 0), ignore=ignore
+            ),
+            recorder=recorder,
+        )
     errors = report.at_least(Severity.ERROR)
     if not errors:
         return True
@@ -1477,10 +1491,11 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     from repro.analysis.coverage import edge_coverage
+    from repro.core.state import fold_executions
 
     model = load_model(args.model)
     log = read_log_file(args.log)
-    report = edge_coverage(model.graph, log)
+    report = edge_coverage(model.graph, fold_executions(log))
     print(f"# model: {model.name} ({args.model})")
     print(f"# log: {args.log}")
     print(report.report())

@@ -56,6 +56,7 @@ except ImportError:  # pragma: no cover - non-CPython fallback
         for element in iterable:
             mapping[element] = get(element, 0) + 1
 from pathlib import Path
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -65,7 +66,9 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -273,6 +276,30 @@ class MiningState:
             labels[vertex_id]: count
             for vertex_id, count in self._presence.items()
         }
+
+    def variant_codes(
+        self,
+    ) -> Tuple[
+        Mapping[Vertex, int],
+        int,
+        List[Tuple[FrozenSet[int], FrozenSet[int], int]],
+    ]:
+        """The distinct variants in the state's own id space (read-only).
+
+        Returns ``(index, modulus, variants)``: ``index`` maps each
+        label to its vertex id, an ordered pair ``(u, v)`` is packed as
+        ``index[u] * modulus + index[v]``, and ``variants`` holds one
+        ``(vertex ids, packed ordered pairs, multiplicity)`` triple per
+        distinct variant.  Ids and codes stay valid until the next fold
+        or merge.  Edge coverage
+        (:func:`~repro.analysis.coverage.edge_coverage`) reads them to
+        work once per variant instead of once per execution.
+        """
+        variants = [
+            (vertices, pairs, count)
+            for (vertices, pairs, _), count in self._variants.items()
+        ]
+        return MappingProxyType(self._index), self._cap, variants
 
     def __repr__(self) -> str:
         kind = "labelled" if self.labelled else "plain"

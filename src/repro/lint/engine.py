@@ -133,7 +133,7 @@ def lint_model(
     """
     config = config or LintConfig()
     obs = resolve_recorder(recorder)
-    context = LintContext(model, log=log, config=config)
+    context = LintContext(model, log=log, config=config, recorder=obs)
     diagnostics: List[Diagnostic] = []
     checked: List[str] = []
     with obs.span("lint", model=model.name):

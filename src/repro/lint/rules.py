@@ -14,6 +14,7 @@ stay cheap and never recompute each other's work.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -36,6 +37,7 @@ from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Finding, Severity
 from repro.logs.event_log import EventLog
 from repro.model.process import ProcessModel
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 Edge = Tuple[str, str]
 RuleCheck = Callable[["LintContext"], Iterable[Finding]]
@@ -53,6 +55,9 @@ class LintContext:
         rules are skipped without a log).
     config:
         The active :class:`~repro.lint.config.LintConfig`.
+    recorder:
+        Observability sink; computing the coverage report opens a
+        ``lint/coverage`` span on it.
     graph:
         One shared copy of the model's control-flow graph.
     """
@@ -62,10 +67,12 @@ class LintContext:
         model: ProcessModel,
         log: Optional[EventLog] = None,
         config: Optional[LintConfig] = None,
+        recorder: Recorder = NULL_RECORDER,
     ) -> None:
         self.model = model
         self.log = log
         self.config = config or LintConfig()
+        self.recorder = recorder
         self.graph: DiGraph = model.graph
         self._cycle: Optional[List[str]] = None
         self._cycle_computed = False
@@ -141,8 +148,22 @@ class LintContext:
                 # time now that validate_process delegates to the lint
                 # engine.
                 from repro.analysis.coverage import edge_coverage
+                from repro.core.state import fold_executions
 
-                self._coverage = edge_coverage(self.graph, self.log)
+                # The fold and the report build only acyclic data
+                # (ints, tuples, frozensets of ints) that the cyclic
+                # collector can never reclaim, so a full collection
+                # over the whole log landing here would be pure cost.
+                collecting = gc.isenabled()
+                gc.disable()
+                try:
+                    with self.recorder.span("lint/coverage"):
+                        self._coverage = edge_coverage(
+                            self.graph, fold_executions(self.log)
+                        )
+                finally:
+                    if collecting:
+                        gc.enable()
         return self._coverage
 
     @property

@@ -1,6 +1,7 @@
 """CLI tests for ``--metrics-out`` / ``--metrics-format`` on mine/lint."""
 
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,17 @@ from repro.obs import parse_jsonl, parse_prometheus
 
 EXAMPLE_LOG = "examples/logs/upload_and_notify.log"
 EXAMPLE_MODEL = "examples/models/upload_and_notify.pm"
+
+
+def profile_block(stderr):
+    """The indented ``--profile`` lines that follow its header."""
+    lines = stderr.splitlines()
+    block = []
+    for line in lines[lines.index("profile:") + 1:]:
+        if not line.startswith("  "):
+            break
+        block.append(line)
+    return block
 
 
 @pytest.fixture
@@ -78,6 +90,32 @@ class TestMineMetrics:
             if record["name"].startswith("mine/")
         }
         assert profile_stages <= manifest_stages
+
+    def test_profile_reports_verification(self, mine_manifest):
+        """--profile prints after auto-verification and ends with it."""
+        records, stderr = mine_manifest
+        assert re.fullmatch(
+            r"  verify: [\d.]+ ms \(lint [\d.]+ ms, coverage [\d.]+ ms\)",
+            profile_block(stderr)[-1],
+        )
+        names = {record["name"] for record in records["span"]}
+        assert {"mine/verify", "lint", "lint/coverage"} <= names
+
+    @pytest.mark.parametrize("no_verify", [False, True])
+    def test_stream_profile_reports_verification(self, capsys, no_verify):
+        code = main(
+            ["mine", EXAMPLE_LOG, "--stream", "--profile"]
+            + (["--no-verify"] if no_verify else [])
+        )
+        block = profile_block(capsys.readouterr().err)
+        assert code == 0
+        verify_rows = [line for line in block if line.startswith("  verify: ")]
+        if no_verify:
+            assert verify_rows == []
+        else:
+            # Without a materialized log there is no coverage report.
+            assert verify_rows == [block[-1]]
+            assert block[-1].endswith("coverage 0.0 ms)")
 
     def test_prom_output_parses(self, tmp_path, capsys):
         out = tmp_path / "run.prom"

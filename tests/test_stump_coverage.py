@@ -6,6 +6,7 @@ from repro.analysis.coverage import edge_coverage
 from repro.classifier.dataset import Dataset
 from repro.classifier.stump import DecisionStump
 from repro.classifier.tree import DecisionTree
+from repro.core.state import fold_executions
 from repro.errors import TrainingDataError
 from repro.graphs.digraph import DiGraph
 from repro.logs.event_log import EventLog
@@ -92,7 +93,7 @@ class TestEdgeCoverage:
     def test_full_coverage_of_exercised_edges(self):
         graph = DiGraph(edges=[("A", "B"), ("B", "C")])
         log = EventLog.from_sequences(["ABC"] * 5)
-        report = edge_coverage(graph, log)
+        report = edge_coverage(graph, fold_executions(log))
         assert report.coverage == 1.0
         assert report.usage[("A", "B")].required == 5
         assert report.unexercised() == []
@@ -100,7 +101,7 @@ class TestEdgeCoverage:
     def test_shortcut_edge_required_only_when_needed(self):
         graph = self.diamond()
         log = EventLog.from_sequences(["ABD", "ACD", "ABCD"])
-        report = edge_coverage(graph, log)
+        report = edge_coverage(graph, fold_executions(log))
         # A->D is compatible everywhere but never required (some
         # interior path always present).
         usage = report.usage[("A", "D")]
@@ -111,30 +112,30 @@ class TestEdgeCoverage:
     def test_shortcut_required_when_interior_skipped(self):
         graph = self.diamond()
         log = EventLog.from_sequences(["ABD", "AD"])
-        report = edge_coverage(graph, log)
+        report = edge_coverage(graph, fold_executions(log))
         assert report.usage[("A", "D")].required == 1
 
     def test_unperformed_endpoints_are_zero(self):
         graph = DiGraph(edges=[("A", "B"), ("X", "Y")])
         log = EventLog.from_sequences(["AB"] * 3)
-        report = edge_coverage(graph, log)
+        report = edge_coverage(graph, fold_executions(log))
         usage = report.usage[("X", "Y")]
         assert usage.co_present == usage.compatible == usage.required == 0
 
     def test_report_text(self):
         graph = DiGraph(edges=[("A", "B")])
         log = EventLog.from_sequences(["AB"])
-        text = edge_coverage(graph, log).report()
+        text = edge_coverage(graph, fold_executions(log)).report()
         assert "edge coverage: 1/1" in text
         assert "A -> B" in text
 
     def test_coverage_of_edgeless_graph(self):
         graph = DiGraph(nodes=["A"])
         log = EventLog.from_sequences(["A"])
-        assert edge_coverage(graph, log).coverage == 1.0
+        assert edge_coverage(graph, fold_executions(log)).coverage == 1.0
 
     def test_empty_log_rejected(self):
         from repro.errors import EmptyLogError
 
         with pytest.raises(EmptyLogError):
-            edge_coverage(DiGraph(), EventLog())
+            edge_coverage(DiGraph(), fold_executions(EventLog()))
