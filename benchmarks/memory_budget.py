@@ -14,7 +14,12 @@ passes comfortably, a materializing regression cannot.
 
 The capped child runs ``python -m repro.cli mine --stream`` rather than
 the mining API directly, so the budget covers the whole user-facing
-path: streaming ingest, parallel fold, finish, and rendering.
+path: streaming ingest, parallel fold, finish, and rendering.  The same
+cap then covers the out-of-core shard path: the log is split by
+execution into two halves, each is mined with ``--state-out``, and
+``merge-states`` folds the two state files.  That exercises the state
+file loader and one-shot CLI runs with the cyclic collector paused;
+the merged graph must equal the whole-log graph.
 
 Usage::
 
@@ -32,30 +37,31 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import List, Optional, Tuple
 
 DEFAULT_EXECUTIONS = 100_000
 DEFAULT_VERTICES = 25
 DEFAULT_LIMIT_MB = 512
+#: Process name of the generated log; execution ids are
+#: ``{PROCESS_NAME}-{index:07d}``.
+PROCESS_NAME = "stream-bench"
 
 
-def _capped_cli_mine(log_path: str, limit_mb: int) -> int:
-    """Run ``mine --stream`` in a child with a hard RLIMIT_AS cap."""
+def _capped_cli(
+    arguments: List[str], limit_mb: int
+) -> Tuple[Optional[List[str]], str]:
+    """Run ``repro-miner ARGUMENTS`` in a child capped by RLIMIT_AS.
+
+    Returns ``(edge lines, "")`` on success and ``(None, reason)`` when
+    the child failed (its output is echoed for the CI log).
+    """
     cap = limit_mb * 1024 * 1024
 
     def arm_limit() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     completed = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "mine",
-            log_path,
-            "--stream",
-            "--format",
-            "edges",
-        ],
+        [sys.executable, "-m", "repro.cli", *arguments],
         preexec_fn=arm_limit,
         capture_output=True,
         text=True,
@@ -63,21 +69,92 @@ def _capped_cli_mine(log_path: str, limit_mb: int) -> int:
     if completed.returncode != 0:
         print(completed.stdout, end="")
         print(completed.stderr, end="", file=sys.stderr)
-        print(
-            f"FAIL: mine --stream exited {completed.returncode} under a "
-            f"{limit_mb} MiB address-space cap — streaming mining no "
-            f"longer fits the memory budget",
-            file=sys.stderr,
-        )
-        return 1
+        return None, f"exited {completed.returncode}"
     edges = [
         line
         for line in completed.stdout.splitlines()
         if line and not line.startswith("#")
     ]
+    return edges, ""
+
+
+def _split_log(log_path: str, first: str, second: str, marker: str) -> None:
+    """Split a log by execution: lines before ``marker``'s first line
+    go to ``first``, the rest to ``second``.
+
+    :func:`stream_probe.generate_log` writes executions one after the
+    other with sequential ids, so the first line naming an execution id
+    is a clean shard boundary.
+    """
+    with open(log_path, encoding="utf-8") as source, open(
+        first, "w", encoding="utf-8"
+    ) as head, open(second, "w", encoding="utf-8") as tail:
+        target = head
+        for line in source:
+            if target is head and marker in line:
+                target = tail
+            target.write(line)
+
+
+def _capped_runs(
+    log_path: str, executions: int, limit_mb: int, workdir: str
+) -> int:
+    """``mine --stream`` the log, then its two shards and merge-states."""
+    stream, problem = _capped_cli(
+        ["mine", log_path, "--stream", "--format", "edges"], limit_mb
+    )
+    if stream is None:
+        print(
+            f"FAIL: mine --stream {problem} under a {limit_mb} MiB "
+            f"address-space cap — streaming mining no longer fits the "
+            f"memory budget",
+            file=sys.stderr,
+        )
+        return 1
     print(
         f"mine --stream held the {limit_mb} MiB budget "
-        f"({len(edges)} edges mined)"
+        f"({len(stream)} edges mined)"
+    )
+    shards = [str(Path(workdir) / f"shard{i}.jsonl") for i in (1, 2)]
+    states = [str(Path(workdir) / f"shard{i}.state.json") for i in (1, 2)]
+    _split_log(
+        log_path, *shards, marker=f"{PROCESS_NAME}-{executions // 2:07d}"
+    )
+    for shard, state in zip(shards, states):
+        _, problem = _capped_cli(
+            ["mine", shard, "--stream", "--format", "edges",
+             "--state-out", state],
+            limit_mb,
+        )
+        if problem:
+            print(
+                f"FAIL: mine --stream --state-out {problem} under a "
+                f"{limit_mb} MiB cap",
+                file=sys.stderr,
+            )
+            return 1
+        Path(shard).unlink()
+    merged, problem = _capped_cli(
+        ["merge-states", *states, "--format", "edges"], limit_mb
+    )
+    if merged is None:
+        print(
+            f"FAIL: merge-states {problem} under a {limit_mb} MiB "
+            f"address-space cap — loading and merging shard states no "
+            f"longer fits the memory budget",
+            file=sys.stderr,
+        )
+        return 1
+    if merged != stream:
+        print(
+            "FAIL: merge-states of the two shard states does not match "
+            "mine --stream over the whole log",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"merge-states held the {limit_mb} MiB budget "
+        f"({len(merged)} edges, equal to the whole-log graph)"
     )
     return 0
 
@@ -110,12 +187,15 @@ def main(argv=None) -> int:
             log_path,
             executions=args.executions,
             vertices=args.vertices,
+            process_name=PROCESS_NAME,
         )
         print(
             f"generated {args.executions} executions "
             f"({records} records) at {log_path}"
         )
-        status = _capped_cli_mine(log_path, args.limit_mb)
+        status = _capped_runs(
+            log_path, args.executions, args.limit_mb, workdir
+        )
         if status == 0:
             # Report the streamed peak for the CI log (uncapped probe).
             measured = stream_probe.measure(log_path, "stream")

@@ -55,6 +55,7 @@ fold (see :mod:`repro.resilience` and docs/RELIABILITY.md).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -99,6 +100,7 @@ from repro.logs.stats import format_statistics, summarize_log
 from repro.logs.timing import format_timing_report
 from repro.model.evolution import evolve_model
 from repro.model.serialize import load_model, save_model
+from repro.runtime import paused_gc
 
 
 def _positive_int(text: str) -> int:
@@ -692,42 +694,57 @@ def _add_metrics_arguments(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+#: Subcommands that run with the cyclic garbage collector on; every
+#: other one pauses it (see :func:`repro.runtime.paused_gc`).
+_COLLECTING_COMMANDS = frozenset({"serve", "simulate", "generate"})
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Ingest, mining and analysis create no cyclic garbage worth
+    # collecting.  The workflow simulator (simulate, generate) does:
+    # with the collector off its peak RSS grows with the executions it
+    # runs.  The long-lived daemon keeps the collector running too.
+    pause = (
+        contextlib.nullcontext()
+        if args.command in _COLLECTING_COMMANDS
+        else paused_gc()
+    )
     try:
-        if args.command == "mine":
-            return _cmd_mine(args)
-        if args.command == "merge-states":
-            return _cmd_merge_states(args)
-        if args.command == "verify-state":
-            return _cmd_verify_state(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "conditions":
-            return _cmd_conditions(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "evolve":
-            return _cmd_evolve(args)
-        if args.command == "timing":
-            return _cmd_timing(args)
-        if args.command == "coverage":
-            return _cmd_coverage(args)
-        if args.command == "variants":
-            return _cmd_variants(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        parser.error(f"unknown command {args.command!r}")
+        with pause:
+            if args.command == "mine":
+                return _cmd_mine(args)
+            if args.command == "merge-states":
+                return _cmd_merge_states(args)
+            if args.command == "verify-state":
+                return _cmd_verify_state(args)
+            if args.command == "generate":
+                return _cmd_generate(args)
+            if args.command == "stats":
+                return _cmd_stats(args)
+            if args.command == "conditions":
+                return _cmd_conditions(args)
+            if args.command == "simulate":
+                return _cmd_simulate(args)
+            if args.command == "compare":
+                return _cmd_compare(args)
+            if args.command == "evolve":
+                return _cmd_evolve(args)
+            if args.command == "timing":
+                return _cmd_timing(args)
+            if args.command == "coverage":
+                return _cmd_coverage(args)
+            if args.command == "variants":
+                return _cmd_variants(args)
+            if args.command == "convert":
+                return _cmd_convert(args)
+            if args.command == "lint":
+                return _cmd_lint(args)
+            if args.command == "serve":
+                return _cmd_serve(args)
+            parser.error(f"unknown command {args.command!r}")
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1155,8 +1172,8 @@ def _cmd_verify_state(args: argparse.Namespace) -> int:
             print(f"{path}: CORRUPT ({exc})")
             return 2
         guard = (
-            "crc32c verified"
-            if meta.get("verified")
+            f"{meta['integrity']} verified"
+            if meta["integrity"]
             else "no integrity envelope (pre-hardening checkpoint)"
         )
         print(

@@ -26,10 +26,16 @@ design), the state's internal label table grows as new labels stream
 in.  Packed pair codes therefore use a private *capacity* modulus that
 doubles when outgrown, repacking all stored codes — amortized linear,
 exactly like a growing hash table.  :meth:`finish` and
-:meth:`to_payload` remap those private codes onto a canonical
-``InternTable`` (labels sorted by ``repr``), which is why two states
-with equal content serialize byte-for-byte equal regardless of the
-order anything was folded in.
+:meth:`to_payload` work in the canonical layout of an ``InternTable``
+(labels sorted by ``repr``, capacity equal to the label count), which
+is why two states with equal content serialize byte-for-byte equal
+regardless of the order anything was folded in.
+
+A fresh fold is relabelled into that layout, in place, the first time
+it is finished or serialized; later calls find it there until a new
+label arrives.  States loaded from v3 payloads are built in it
+directly and merging two canonical states keeps it, so the shard →
+state file → merge → finish path never re-interns a label.
 
 The canonical serialization is also the incremental miner's
 **checkpoint format v3** (:func:`save_state` / :func:`load_state`):
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import zlib
 from collections import Counter, OrderedDict
 from itertools import combinations
 
@@ -190,9 +197,10 @@ class MiningState:
         if memo_size < 0:
             raise ValueError(f"bad memo size {memo_size!r}")
         self.labelled = bool(labelled)
-        # Growable intern table: first-seen label order; codes are
-        # packed ``u * _cap + v`` and repacked when the table outgrows
-        # the capacity (amortized by doubling).
+        # Growable intern table: first-seen label order (canonical
+        # order after a load or relabel); codes are packed
+        # ``u * _cap + v`` and repacked when the table outgrows the
+        # capacity (amortized by doubling).
         self._labels: List[Vertex] = []
         self._index: Dict[Vertex, int] = {}
         self._cap = 0
@@ -246,7 +254,12 @@ class MiningState:
 
     @property
     def labels(self) -> Tuple[Vertex, ...]:
-        """All vertex labels seen so far, in first-seen order."""
+        """All vertex labels seen so far, in vertex-id order.
+
+        First-seen order for a fresh fold; canonical table order once
+        the state was loaded, merged from loaded states, finished or
+        serialized.
+        """
         return tuple(self._labels)
 
     def has_repetition(self) -> bool:
@@ -290,10 +303,12 @@ class MiningState:
         label to its vertex id, an ordered pair ``(u, v)`` is packed as
         ``index[u] * modulus + index[v]``, and ``variants`` holds one
         ``(vertex ids, packed ordered pairs, multiplicity)`` triple per
-        distinct variant.  Ids and codes stay valid until the next fold
-        or merge.  Edge coverage
-        (:func:`~repro.analysis.coverage.edge_coverage`) reads them to
-        work once per variant instead of once per execution.
+        distinct variant.  Ids and codes stay valid until the next fold,
+        merge, :meth:`finish`, :meth:`packed` or :meth:`to_payload`
+        (the last three may move the state into canonical layout).
+        Edge coverage (:func:`~repro.analysis.coverage.edge_coverage`)
+        reads them to work once per variant instead of once per
+        execution.
         """
         variants = [
             (vertices, pairs, count)
@@ -325,47 +340,89 @@ class MiningState:
             return
         self._repack(max(8, 2 * len(self._labels)))
 
-    def _repack(self, new_cap: int) -> None:
-        """Re-encode every stored pair code under a larger capacity."""
+    def _repack(
+        self, new_cap: int, id_map: Optional[Sequence[int]] = None
+    ) -> None:
+        """Re-encode every stored pair code under capacity ``new_cap``.
+
+        With ``id_map``, vertex id ``i`` also becomes ``id_map[i]`` in
+        the variants, counters and memos; the caller installs the
+        matching label table.  Without it ids are unchanged (growth).
+        """
         old = self._cap
         self._cap = new_cap
+        if not (old and self._variants):
+            return
+        ids: Sequence[int] = range(old) if id_map is None else id_map
 
-        def remap(codes: FrozenSet[int]) -> FrozenSet[int]:
-            return frozenset(
-                (code // old) * new_cap + (code % old) for code in codes
-            )
+        def remap_code(code: int) -> int:
+            return ids[code // old] * new_cap + ids[code % old]
 
-        if old and self._variants:
-            self._variants = {
-                (vertices, remap(pairs), remap(overlaps)): count
-                for (vertices, pairs, overlaps), count
-                in self._variants.items()
+        moved: Dict[VariantKey, VariantKey] = {}
+
+        def move(variant: VariantKey) -> VariantKey:
+            # Cached variants are (equal to) keys of the variant table,
+            # so each distinct triple is re-encoded once.
+            result = moved.get(variant)
+            if result is None:
+                vertices, pairs, overlaps = variant
+                result = moved[variant] = (
+                    frozenset(ids[v] for v in vertices),
+                    frozenset(map(remap_code, pairs)),
+                    frozenset(map(remap_code, overlaps)),
+                )
+            return result
+
+        self._variants = {
+            move(variant): count
+            for variant, count in self._variants.items()
+        }
+        self._trace_cache = {
+            key: move(variant)
+            for key, variant in self._trace_cache.items()
+        }
+        # The comprehension preserves the memo's LRU order.
+        self._prepared_memo = OrderedDict(
+            (tuple(ids[i] for i in key), move(variant))
+            for key, variant in self._prepared_memo.items()
+        )
+        self._pair_counts = Counter(
+            {
+                remap_code(code): count
+                for code, count in self._pair_counts.items()
             }
-            self._trace_cache = {
-                key: (vertices, remap(pairs), remap(overlaps))
-                for key, (vertices, pairs, overlaps)
-                in self._trace_cache.items()
+        )
+        self._overlap_counts = Counter(
+            {
+                remap_code(code): count
+                for code, count in self._overlap_counts.items()
             }
-            # Memo keys are vertex-id tuples (stable across repacks);
-            # only the packed codes inside the values need remapping.
-            # The comprehension preserves LRU order.
-            self._prepared_memo = OrderedDict(
-                (ids, (vertices, remap(pairs), remap(overlaps)))
-                for ids, (vertices, pairs, overlaps)
-                in self._prepared_memo.items()
-            )
-            self._pair_counts = Counter(
-                {
-                    (code // old) * new_cap + (code % old): count
-                    for code, count in self._pair_counts.items()
-                }
-            )
-            self._overlap_counts = Counter(
-                {
-                    (code // old) * new_cap + (code % old): count
-                    for code, count in self._overlap_counts.items()
-                }
-            )
+        )
+        self._presence = Counter(
+            {
+                ids[vertex_id]: count
+                for vertex_id, count in self._presence.items()
+            }
+        )
+
+    def _relabel(self, table: InternTable) -> None:
+        """Move the state into ``table``'s canonical id space, in place.
+
+        ``table`` must hold every label a variant uses; labels it drops
+        must be unused.
+        """
+        index = table.index
+        self._repack(
+            len(table), [index.get(label, -1) for label in self._labels]
+        )
+        self._labels = list(table.labels)
+        self._index = dict(index)
+
+    def _is_canonical(self) -> bool:
+        """Labels in canonical table order and codes packed ``u*n+v``."""
+        return self._cap == len(self._labels) and (
+            InternTable(self._labels).labels == tuple(self._labels)
+        )
 
     # ------------------------------------------------------------------
     # Folding
@@ -384,21 +441,31 @@ class MiningState:
             self._overlap_counts.update(dict.fromkeys(overlaps, count))
         self._execution_count += count
 
-    def _pack_execution(self, execution: Execution) -> VariantKey:
+    def _pack_execution(
+        self,
+        execution: Execution,
+        ids: Optional[Sequence[int]] = None,
+    ) -> VariantKey:
         """Extract one execution's packed ``(vertices, pairs, overlaps)``.
 
         Mirrors :func:`repro.core.general_dag._pack_chunk`: sequential
         traces (the common case) produce packed codes directly from the
         interned id sequence via the suffix-set trick; interval-
         overlapping traces fall back to the cached label-level sets.
+        ``ids`` is the execution's already-interned id sequence when
+        the caller has it (:meth:`update` on a memo miss); otherwise
+        the labels are interned here.
         """
         labelled = self.labelled
-        sequence = (
-            execution.labelled_sequence() if labelled
-            else execution.sequence
-        )
-        intern = self._intern
-        ids = [intern(label) for label in sequence]
+        if ids is None:
+            intern = self._intern
+            ids = [
+                intern(label)
+                for label in (
+                    execution.labelled_sequence() if labelled
+                    else execution.sequence
+                )
+            ]
         self._ensure_capacity()
         cap = self._cap
         vertices = frozenset(ids)
@@ -482,7 +549,8 @@ class MiningState:
         activity sequence into a counter bump regardless of timestamps,
         and the per-state trace cache skips re-extraction for exact
         instance-level repeats.  Either way the cost is independent of
-        how many executions were folded before.
+        how many executions were folded before.  Each label is interned
+        at most once per call.
         """
         memo_size = self._memo_size
         ids: Optional[Tuple[int, ...]] = None
@@ -495,7 +563,11 @@ class MiningState:
             try:
                 ids = tuple([index[label] for label in sequence])
             except KeyError:
-                pass  # Unseen label: certainly not memoized.
+                # Unseen label: certainly not memoized.  Intern now so
+                # the pack below and the memo key share one id tuple
+                # (capacity growth re-encodes codes, never ids).
+                intern = self._intern
+                ids = tuple([intern(label) for label in sequence])
             else:
                 variant = self._prepared_memo.get(ids)
                 if variant is not None and execution.is_sequential():
@@ -507,22 +579,10 @@ class MiningState:
         key = execution.variant_key()
         variant = self._trace_cache.get(key)
         if variant is None:
-            variant = self._pack_execution(execution)
+            variant = self._pack_execution(execution, ids)
             self._trace_cache[key] = variant
         self._fold(variant, 1)
-        if memo_size and execution.is_sequential():
-            if ids is None:
-                # The slow path interned the new labels; the id tuple
-                # is now computable (and stable — _repack changes pair
-                # codes, never vertex ids).
-                index = self._index
-                ids = tuple(
-                    index[label]
-                    for label in (
-                        execution.labelled_sequence() if self.labelled
-                        else execution.sequence
-                    )
-                )
+        if ids is not None and execution.is_sequential():
             memo = self._prepared_memo
             memo[ids] = variant
             if len(memo) > memo_size:
@@ -541,7 +601,7 @@ class MiningState:
         The label table covers pair and overlap endpoints as well as
         the vertex set, mirroring
         :func:`~repro.core.interning.intern_variants`.  This is the
-        resume path for v1/v2 checkpoints and the constructor used by
+        resume path for v1 checkpoints and the constructor used by
         tests that build states directly from prepared sets.
         """
         if count < 1:
@@ -584,47 +644,63 @@ class MiningState:
             )
         if other is self:
             other = other.copy()
-        intern = self._intern
-        mapping = [intern(label) for label in other._labels]
-        self._ensure_capacity()
+        if self._is_canonical() and other._is_canonical():
+            # Shards loaded from state files: merge in the canonical
+            # table of the label union, so the result stays canonical
+            # and finish()/to_payload() need no remap.
+            table = InternTable([*self._labels, *other._labels])
+            if table.labels != tuple(self._labels):
+                self._relabel(table)
+            mapping = [self._index[label] for label in other._labels]
+        else:
+            intern = self._intern
+            mapping = [intern(label) for label in other._labels]
+            self._ensure_capacity()
         cap = self._cap
-        other_cap = other._cap or 1
+        if cap == other._cap and mapping == list(range(len(mapping))):
+            # One id space (shards over one label set): nothing to remap.
+            incoming: Mapping[VariantKey, int] = other._variants
+            presence: Mapping[int, int] = other._presence
+            pair_counts: Mapping[int, int] = other._pair_counts
+            overlap_counts: Mapping[int, int] = other._overlap_counts
+        else:
+            # Re-encode into new tables: unlike _relabel, a merge must
+            # leave ``other`` as it is.
+            other_cap = other._cap or 1
 
-        def remap_code(code: int) -> int:
-            return (
-                mapping[code // other_cap] * cap
-                + mapping[code % other_cap]
-            )
+            def remap_code(code: int) -> int:
+                return (
+                    mapping[code // other_cap] * cap
+                    + mapping[code % other_cap]
+                )
 
-        def remap(codes: FrozenSet[int]) -> FrozenSet[int]:
-            return frozenset(remap_code(code) for code in codes)
-
-        variants = self._variants
-        for (vertices, pairs, overlaps), count in other._variants.items():
-            key = (
-                frozenset(mapping[v] for v in vertices),
-                remap(pairs),
-                remap(overlaps),
-            )
-            variants[key] = variants.get(key, 0) + count
-        self._presence.update(
-            {
+            incoming = {
+                (
+                    frozenset(mapping[v] for v in vertices),
+                    frozenset(map(remap_code, pairs)),
+                    frozenset(map(remap_code, overlaps)),
+                ): count
+                for (vertices, pairs, overlaps), count
+                in other._variants.items()
+            }
+            presence = {
                 mapping[vertex_id]: count
                 for vertex_id, count in other._presence.items()
             }
-        )
-        self._pair_counts.update(
-            {
+            pair_counts = {
                 remap_code(code): count
                 for code, count in other._pair_counts.items()
             }
-        )
-        self._overlap_counts.update(
-            {
+            overlap_counts = {
                 remap_code(code): count
                 for code, count in other._overlap_counts.items()
             }
-        )
+        variants = self._variants
+        for key, count in incoming.items():
+            variants[key] = variants.get(key, 0) + count
+        self._presence.update(presence)
+        self._pair_counts.update(pair_counts)
+        self._overlap_counts.update(overlap_counts)
         self._execution_count += other._execution_count
         # Memo traffic is observability, not content: roll the other
         # state's counters up so parallel folds report like serial ones.
@@ -655,20 +731,20 @@ class MiningState:
                 "the plain view; finish it as a cyclic instance graph "
                 "instead"
             )
+        # Without repetition every label is ``(activity, 1)``, so
+        # dropping the occurrence index is a bijection: the plain state
+        # takes this one's ids, codes and capacity as they are.
         plain = MiningState(labelled=False)
-        cap = self._cap or 1
-        labels = [activity for activity, _ in self._labels]
-        for (vertices, pairs, overlaps), count in self._variants.items():
-            plain.add_variant(
-                vertices=[labels[v] for v in vertices],
-                pairs=[
-                    (labels[c // cap], labels[c % cap]) for c in pairs
-                ],
-                overlaps=[
-                    (labels[c // cap], labels[c % cap]) for c in overlaps
-                ],
-                count=count,
-            )
+        plain._labels = [activity for activity, _ in self._labels]
+        plain._index = {
+            label: vertex_id for vertex_id, label in enumerate(plain._labels)
+        }
+        plain._cap = self._cap
+        plain._variants = dict(self._variants)
+        plain._pair_counts = Counter(self._pair_counts)
+        plain._overlap_counts = Counter(self._overlap_counts)
+        plain._presence = Counter(self._presence)
+        plain._execution_count = self._execution_count
         return plain
 
     def copy(self) -> "MiningState":
@@ -704,28 +780,30 @@ class MiningState:
         straight into ``_mine_packed`` — and is content-identical for
         any fold/merge order that produced the same state.
         """
-        table = InternTable(self._labels)
-        id_map = [table.id_of(label) for label in self._labels]
-        n = max(len(table), 1)
-        cap = self._cap
-
-        def remap(codes: FrozenSet[int]) -> FrozenSet[int]:
-            return frozenset(
-                id_map[code // cap] * n + id_map[code % cap]
-                for code in codes
-            )
-
-        variants = [
+        table, variants = self._canonical_variants()
+        return table, [
             PackedVariant(
-                vertices=frozenset(id_map[v] for v in vertices),
-                pairs=remap(pairs),
-                overlaps=remap(overlaps),
+                vertices=vertices,
+                pairs=pairs,
+                overlaps=overlaps,
                 multiplicity=count,
             )
-            for (vertices, pairs, overlaps), count
-            in self._variants.items()
+            for (vertices, pairs, overlaps), count in variants
         ]
-        return table, variants
+
+    def _canonical_variants(
+        self,
+    ) -> Tuple[InternTable, Iterable[Tuple[VariantKey, int]]]:
+        """The canonical table and the variants in its id space.
+
+        A state not in canonical layout yet (a fresh fold, whose ids
+        are in first-seen order) is relabelled into it once, in place;
+        later calls return the variants as stored until a new label
+        arrives.  Content is unchanged: only ids and codes move.
+        """
+        if not self._is_canonical():
+            self._relabel(InternTable(self._labels))
+        return InternTable(self._labels), self._variants.items()
 
     def _reduction_memo_for(
         self, table: InternTable
@@ -797,26 +875,15 @@ class MiningState:
         identically, which makes payload equality a strong merge
         associativity/commutativity check.
         """
-        table = InternTable(self._labels)
-        id_map = [table.id_of(label) for label in self._labels]
-        n = max(len(table), 1)
-        cap = self._cap
-
-        def remap(codes: FrozenSet[int]) -> List[int]:
-            return sorted(
-                id_map[code // cap] * n + id_map[code % cap]
-                for code in codes
-            )
-
+        table, variants = self._canonical_variants()
         entries = [
             {
-                "vertices": sorted(id_map[v] for v in vertices),
-                "pairs": remap(pairs),
-                "overlaps": remap(overlaps),
+                "vertices": sorted(vertices),
+                "pairs": sorted(pairs),
+                "overlaps": sorted(overlaps),
                 "count": count,
             }
-            for (vertices, pairs, overlaps), count
-            in self._variants.items()
+            for (vertices, pairs, overlaps), count in variants
         ]
         entries.sort(
             key=lambda entry: (
@@ -840,21 +907,29 @@ class MiningState:
         """
         if not isinstance(payload, dict):
             raise ValueError("state payload must be a JSON object")
-        state = cls(labelled=bool(payload["labelled"]))
         labels = [_vertex_from_json(value) for value in payload["labels"]]
         n = len(labels)
+        if len(set(labels)) != n:
+            raise ValueError("duplicate labels in the state payload")
+        # A v3 payload is written canonical (labels in table order,
+        # codes ``u * n + v``), so its ids are folded in as stored.
+        state = cls(labelled=bool(payload["labelled"]))
+        state._labels = labels
+        state._index = {
+            label: vertex_id for vertex_id, label in enumerate(labels)
+        }
+        state._cap = n
         for entry in payload["variants"]:
-            state.add_variant(
-                vertices=[labels[int(v)] for v in entry["vertices"]],
-                pairs=[
-                    (labels[int(c) // n], labels[int(c) % n])
-                    for c in entry["pairs"]
-                ],
-                overlaps=[
-                    (labels[int(c) // n], labels[int(c) % n])
-                    for c in entry["overlaps"]
-                ],
-                count=int(entry["count"]),
+            count = int(entry["count"])
+            if count < 1:
+                raise ValueError(f"bad variant multiplicity {count!r}")
+            state._fold(
+                (
+                    _id_set(entry["vertices"], n),
+                    _id_set(entry["pairs"], n * n),
+                    _id_set(entry["overlaps"], n * n),
+                ),
+                count,
             )
         declared = int(payload["execution_count"])
         if declared != state._execution_count:
@@ -862,12 +937,48 @@ class MiningState:
                 f"execution_count {declared} does not match the sum of "
                 f"variant multiplicities {state._execution_count}"
             )
+        codes = [*state._pair_counts, *state._overlap_counts]
+        used = set(state._presence).union(
+            [code // n for code in codes], [code % n for code in codes]
+        )
+        if len(used) == n and state._is_canonical():
+            return state
+        # Hand-edited or foreign payloads: drop labels no variant uses
+        # and relabel once into the canonical id space.
+        state._relabel(
+            InternTable(labels[vertex_id] for vertex_id in used)
+        )
         return state
+
+
+def _id_set(values: Iterable[int], bound: int) -> FrozenSet[int]:
+    """``values`` as a frozenset of ints, each in ``range(bound)``."""
+    ids = frozenset(map(int, values))
+    if ids and (min(ids) < 0 or max(ids) >= bound):
+        raise ValueError(
+            f"vertex id or pair code out of range(0, {bound}): "
+            f"{min(ids)}..{max(ids)}"
+        )
+    return ids
 
 
 # ----------------------------------------------------------------------
 # State files (= incremental checkpoints, format v3)
 # ----------------------------------------------------------------------
+#: Checksums an ``integrity`` envelope may name, by its ``algorithm``
+#: field.  New envelopes use zlib's C CRC-32; CRC32C envelopes, written
+#: by earlier builds, still verify.
+_CHECKSUMS: Dict[str, Callable[[bytes], int]] = {
+    "crc32": zlib.crc32,
+    "crc32c": crc32c,
+}
+INTEGRITY_ALGORITHM = "crc32"
+
+
+def _checksum(algorithm: str, body: bytes) -> str:
+    return f"{_CHECKSUMS[algorithm](body):08x}"
+
+
 def _integrity_body(payload: dict) -> bytes:
     """The canonical bytes the integrity envelope checksums.
 
@@ -906,7 +1017,7 @@ def state_envelope(
     sessions — records the write-ahead journal sequence number this
     state covers, so recovery knows where journal replay starts.
 
-    The envelope carries an ``integrity`` field (CRC32C + length over
+    The envelope carries an ``integrity`` field (CRC-32 + length over
     the canonical body), verified by :func:`load_state`.
     """
     if mode is None:
@@ -933,8 +1044,8 @@ def state_envelope(
         payload["journal_seq"] = int(journal_seq)
     body = _integrity_body(payload)
     payload["integrity"] = {
-        "algorithm": "crc32c",
-        "crc32c": f"{crc32c(body):08x}",
+        "algorithm": INTEGRITY_ALGORITHM,
+        INTEGRITY_ALGORITHM: _checksum(INTEGRITY_ALGORITHM, body),
         "length": len(body),
     }
     return json.dumps(payload, separators=(",", ":"))
@@ -986,40 +1097,22 @@ def _load_v1_state(state: MiningState, entries: Iterable[dict]) -> None:
         )
 
 
-def _load_v2_state(
-    state: MiningState, labels: Iterable[object], entries: Iterable[dict]
-) -> None:
-    """Fold v2's interning table + packed weighted variants."""
-    table = [_vertex_from_json(label) for label in labels]
-    n = len(table)
-    for entry in entries:
-        state.add_variant(
-            vertices=[table[int(v)] for v in entry["vertices"]],
-            pairs=[
-                (table[int(c) // n], table[int(c) % n])
-                for c in entry["pairs"]
-            ],
-            overlaps=[
-                (table[int(c) // n], table[int(c) % n])
-                for c in entry["overlaps"]
-            ],
-            count=int(entry["count"]),
-        )
-
-
 def load_state(path: PathOrStr) -> Tuple[MiningState, dict]:
     """Read a state/checkpoint file (any version) back into a state.
 
     Returns ``(state, meta)`` where ``meta`` carries the envelope
     fields: ``version``, ``mode``, ``threshold``, ``last_edges``
-    (label-level frozenset or ``None``) and ``stable_since``.
+    (label-level frozenset or ``None``) and ``stable_since``, plus
+    ``verified`` and ``integrity`` (the checksum algorithm that
+    verified the file, ``None`` without an envelope).
 
     Raises
     ------
     CheckpointError
         When the file is unreadable, not a checkpoint, corrupt (a
-        present ``integrity`` envelope fails its CRC32C/length check),
-        or has an unsupported version.
+        present ``integrity`` envelope fails its CRC-32 or, for files
+        written by earlier builds, CRC32C/length check), or has an
+        unsupported version.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -1035,24 +1128,26 @@ def load_state(path: PathOrStr) -> Tuple[MiningState, dict]:
             f"{path!s} is not an incremental-miner checkpoint"
         )
     integrity = payload.get("integrity")
+    algorithm: Optional[str] = None
     if integrity is not None:
         # Pre-hardening checkpoints have no envelope; when one is
         # present it must verify.
         try:
-            declared_crc = str(integrity["crc32c"])
+            algorithm = str(integrity["algorithm"])
+            if algorithm not in _CHECKSUMS:
+                raise ValueError(f"unknown algorithm {algorithm!r}")
+            declared_crc = str(integrity[algorithm])
             declared_length = int(integrity["length"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
-                f"corrupt checkpoint {path!s}: bad integrity field"
+                f"corrupt checkpoint {path!s}: bad integrity field ({exc})"
             ) from exc
         body = _integrity_body(payload)
-        if (
-            len(body) != declared_length
-            or f"{crc32c(body):08x}" != declared_crc
-        ):
+        actual_crc = _checksum(algorithm, body)
+        if len(body) != declared_length or actual_crc != declared_crc:
             raise CheckpointError(
                 f"corrupt checkpoint {path!s}: integrity check failed "
-                f"(crc32c {crc32c(body):08x} != {declared_crc} or "
+                f"({algorithm} {actual_crc} != {declared_crc} or "
                 f"length {len(body)} != {declared_length})"
             )
     version = payload.get("version")
@@ -1073,10 +1168,20 @@ def load_state(path: PathOrStr) -> Tuple[MiningState, dict]:
                     f"mode {mode!r}"
                 )
         elif version == 2:
-            state = MiningState(labelled=labelled)
-            _load_v2_state(state, payload["labels"], payload["variants"])
-            # v2 stored the execution count explicitly; trust it like
+            # v2 packed its variants like v3, under a label table in
+            # any order; its stored execution count is trusted, like
             # the original reader did.
+            entries = payload["variants"]
+            state = MiningState.from_payload(
+                {
+                    "labelled": labelled,
+                    "labels": payload["labels"],
+                    "variants": entries,
+                    "execution_count": sum(
+                        int(entry["count"]) for entry in entries
+                    ),
+                }
+            )
             state._execution_count = int(payload["execution_count"])
         else:
             state = MiningState(labelled=labelled)
@@ -1094,6 +1199,7 @@ def load_state(path: PathOrStr) -> Tuple[MiningState, dict]:
             "stable_since": int(payload["stable_since"]),
             "journal_seq": int(payload.get("journal_seq", 0)),
             "verified": integrity is not None,
+            "integrity": algorithm,
         }
     except (
         KeyError,

@@ -14,7 +14,6 @@ stay cheap and never recompute each other's work.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -38,6 +37,7 @@ from repro.lint.diagnostics import Finding, Severity
 from repro.logs.event_log import EventLog
 from repro.model.process import ProcessModel
 from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.runtime import paused_gc
 
 Edge = Tuple[str, str]
 RuleCheck = Callable[["LintContext"], Iterable[Finding]]
@@ -154,16 +154,10 @@ class LintContext:
                 # (ints, tuples, frozensets of ints) that the cyclic
                 # collector can never reclaim, so a full collection
                 # over the whole log landing here would be pure cost.
-                collecting = gc.isenabled()
-                gc.disable()
-                try:
-                    with self.recorder.span("lint/coverage"):
-                        self._coverage = edge_coverage(
-                            self.graph, fold_executions(self.log)
-                        )
-                finally:
-                    if collecting:
-                        gc.enable()
+                with paused_gc(), self.recorder.span("lint/coverage"):
+                    self._coverage = edge_coverage(
+                        self.graph, fold_executions(self.log)
+                    )
         return self._coverage
 
     @property

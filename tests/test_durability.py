@@ -295,7 +295,7 @@ class TestVerifyStateCli:
             state.update(execution)
         save_state(state, path)
         assert main(["verify-state", str(path)]) == 0
-        assert "crc32c verified" in capsys.readouterr().out
+        assert "crc32 verified" in capsys.readouterr().out
 
     def test_missing_target_exits_1(self, tmp_path, capsys):
         assert main(["verify-state", str(tmp_path / "nope")]) == 1
